@@ -19,6 +19,7 @@
 #include <thread>
 
 #include "common/fs.h"
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "storage/lsm/block_cache.h"
 #include "storage/lsm/db.h"
@@ -347,6 +348,15 @@ int RunMixedBench(bool smoke, const std::string& out_path) {
   const double concurrent_secs = smoke ? 1.0 : 8.0;
 
   const std::string dir = MakeTempDir("lsmmixed");
+  // Cache counts are read as registry deltas over this run (the registry is
+  // the one store; this Db is the only block-cache user in the process).
+  MetricsRegistry* registry = MetricsRegistry::Global();
+  Counter* cache_hits = registry->GetCounter("lsm.block_cache.hit");
+  Counter* cache_misses = registry->GetCounter("lsm.block_cache.miss");
+  Counter* cache_evictions = registry->GetCounter("lsm.block_cache.evict");
+  const uint64_t hits0 = cache_hits->value();
+  const uint64_t misses0 = cache_misses->value();
+  const uint64_t evictions0 = cache_evictions->value();
   auto cache = std::make_shared<BlockCache>(64u << 20);
   DbOptions options;
   options.memtable_bytes = 512 << 10;
@@ -384,9 +394,11 @@ int RunMixedBench(bool smoke, const std::string& out_path) {
       readers4.ops_per_sec + ingest_rate;
 
   const Db::Stats stats1 = db->GetStats();
-  const auto cache_stats = cache->GetStats();
-  const double lookups = double(cache_stats.hits + cache_stats.misses);
-  const double hit_rate = lookups > 0 ? cache_stats.hits / lookups : 0;
+  const uint64_t hits = cache_hits->value() - hits0;
+  const uint64_t misses = cache_misses->value() - misses0;
+  const uint64_t evictions = cache_evictions->value() - evictions0;
+  const double lookups = double(hits + misses);
+  const double hit_rate = lookups > 0 ? hits / lookups : 0;
   const double speedup =
       readers4.ops_per_sec / kBaseline.readers4_ops_per_sec;
   const double serial_ratio = serial.ops_per_sec / kBaseline.serial_ops_per_sec;
@@ -427,8 +439,8 @@ int RunMixedBench(bool smoke, const std::string& out_path) {
           serial.ops_per_sec, kBaseline.serial_ops_per_sec, serial_ratio,
           readers4.ops_per_sec, kBaseline.readers4_ops_per_sec, speedup,
           ingest_rate, kWriterOpsPerSec, hit_rate,
-          static_cast<unsigned long long>(cache_stats.hits),
-          static_cast<unsigned long long>(cache_stats.misses),
+          static_cast<unsigned long long>(hits),
+          static_cast<unsigned long long>(misses),
           static_cast<unsigned long long>(stats1.flushes - stats0.flushes),
           static_cast<unsigned long long>(stats1.compactions -
                                           stats0.compactions),
@@ -491,9 +503,9 @@ int RunMixedBench(bool smoke, const std::string& out_path) {
         "\"write_delays\": %llu,\n"
         "    \"write_amp\": %.3f, \"space_amp\": %.3f\n  },\n",
         ingest_rate, aggregate_ops_per_sec,
-        static_cast<unsigned long long>(cache_stats.hits),
-        static_cast<unsigned long long>(cache_stats.misses),
-        static_cast<unsigned long long>(cache_stats.evictions), hit_rate,
+        static_cast<unsigned long long>(hits),
+        static_cast<unsigned long long>(misses),
+        static_cast<unsigned long long>(evictions), hit_rate,
         static_cast<unsigned long long>(stats1.flushes - stats0.flushes),
         static_cast<unsigned long long>(stats1.compactions -
                                         stats0.compactions),

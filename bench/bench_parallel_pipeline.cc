@@ -139,7 +139,6 @@ double DrainSkewed(scribe::Scribe* bus, Clock* clock, const std::string& dir,
   stylus::Pipeline::Options options;
   options.num_threads = 4;
   options.commit_threads = 2;
-  options.overlap_commits = true;
   options.idle_sleep_micros = 50;
   stylus::Pipeline pipeline(bus, clock, options);
 

@@ -34,12 +34,12 @@
 #include "common/shard_executor.h"
 #include "puma/app.h"
 #include "puma/compiled_expr.h"
-#include "puma/expr.h"
 #include "puma/expr_parser.h"
 #include "puma/parser.h"
 #include "scribe/scribe.h"
 #include "storage/laser/laser.h"
 #include "storage/scuba/scuba.h"
+#include "support/puma_interpreter.h"
 
 namespace fbstream::bench {
 namespace {

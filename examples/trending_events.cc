@@ -23,6 +23,7 @@
 #include "common/clock.h"
 #include "common/fs.h"
 #include "common/hash.h"
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/serde.h"
 #include "core/node.h"
@@ -358,7 +359,10 @@ int main() {
   printf("\nclassification RPCs: %llu, Laser queries: %llu (cache kept them "
          "low)\n",
          static_cast<unsigned long long>(classifier.calls()),
-         static_cast<unsigned long long>((*dimensions)->num_queries()));
+         static_cast<unsigned long long>(
+             MetricsRegistry::Global()
+                 ->GetCounter("laser.read.queries", dim_config.name)
+                 ->value()));
   (void)RemoveAll(work_dir);
   return 0;
 }

@@ -6,8 +6,9 @@
 # (framing, reconnect, partition modes), the supervisor (fork/exec,
 # fencing, heartbeat timeout verdicts), the query serving layer
 # (compiled-expression closures, block scans, Laser's reused read buffers),
-# and the leveled LSM (MANIFEST decode of torn/corrupt/legacy input,
-# compaction-output cleanup on preemption, deferred file GC).
+# the leveled LSM (MANIFEST decode of torn/corrupt/unknown-format input,
+# compaction-output cleanup on preemption, deferred file GC), and the
+# seeded decoder fuzz sweeps (MANIFEST, SST open, Scribe segment replay).
 #
 # Usage: scripts/asan.sh [build-dir]   (default: build-asan)
 set -euo pipefail
@@ -19,12 +20,13 @@ cmake -B "$BUILD_DIR" -S . -DFBSTREAM_ASAN=ON
 cmake --build "$BUILD_DIR" -j --target \
   common_test scribe_test remote_scribe_test cluster_test lsm_test \
   lsm_leveled_test hdfs_test zippydb_test stylus_test \
-  continuous_pipeline_test chaos_test crash_recovery_test query_serving_test
+  continuous_pipeline_test chaos_test crash_recovery_test query_serving_test \
+  fuzz_test
 
 for t in common_test scribe_test remote_scribe_test cluster_test lsm_test \
          lsm_leveled_test hdfs_test zippydb_test stylus_test \
          continuous_pipeline_test chaos_test crash_recovery_test \
-         query_serving_test; do
+         query_serving_test fuzz_test; do
   echo "== ASan: $t =="
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     "$BUILD_DIR/tests/$t"

@@ -94,7 +94,6 @@ int RunWorker(const WorkerOptions& options) {
   }
 
   stylus::Pipeline::Options pipeline_options;
-  pipeline_options.overlap_commits = true;
   pipeline_options.commit_threads = 2;
   pipeline_options.idle_sleep_micros = 500;
   pipeline_options.snapshot_every_batches = 8;

@@ -366,7 +366,7 @@ Status Pipeline::Start() {
   stop_requested_.store(false, std::memory_order_release);
   continuous_processed_.store(0, std::memory_order_relaxed);
   continuous_commits_.store(0, std::memory_order_relaxed);
-  if (options_.overlap_commits && options_.commit_threads > 0) {
+  if (options_.commit_threads > 0) {
     commit_pool_ = std::make_unique<ShardExecutor>(options_.commit_threads);
   }
   std::lock_guard<std::mutex> lock(mu_);

@@ -71,12 +71,11 @@ class Pipeline {
     // behind. Bounds the byte footprint of every inter-node edge to roughly
     // max_queue_messages * message size per consumer shard.
     uint64_t max_queue_messages = 4096;
-    // §4.2 processing overlap: offload checkpoint commits to a commit pool
-    // so the shard loop starts batch N+1 while batch N's checkpoint/backup
-    // side effects commit. Monoid shards always commit inline (their
+    // §4.2 processing overlap: with commit_threads > 0, checkpoint commits
+    // run on a pool of that many threads, so the shard loop starts batch
+    // N+1 while batch N's checkpoint/backup side effects commit; 0 commits
+    // inline on the shard loop. Monoid shards always commit inline (their
     // partial-aggregate buffer is single-threaded by design).
-    bool overlap_commits = true;
-    // Commit pool size when overlap_commits is set.
     int commit_threads = 2;
     // Event-loop sleep when a shard is idle, stalled, or down.
     int idle_sleep_micros = 200;

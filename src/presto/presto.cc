@@ -4,7 +4,7 @@
 #include <map>
 
 #include "puma/agg.h"
-#include "puma/expr.h"
+#include "puma/compiled_expr.h"
 #include "puma/expr_parser.h"
 #include "puma/lexer.h"
 #include "puma/parser.h"
@@ -14,8 +14,7 @@ namespace fbstream::presto {
 namespace {
 
 using puma::AggCell;
-using puma::EvalExpr;
-using puma::EvalPredicate;
+using puma::CompiledExpr;
 using puma::Expr;
 using puma::ExprKind;
 using puma::ExprPtr;
@@ -199,6 +198,30 @@ StatusOr<PrestoResult> Presto::ExecuteOnPartitions(
     group_exprs.push_back(std::move(expr));
   }
 
+  // Every expression compiles once per query against the table schema —
+  // the same evaluator streaming Puma runs per event. Invalid entries
+  // stand for "absent" (no WHERE, COUNT(*), aggregate select items).
+  const CompiledExpr where =
+      stmt.where != nullptr ? CompiledExpr::Compile(*stmt.where, input_schema)
+                            : CompiledExpr();
+  std::vector<CompiledExpr> items;
+  std::vector<CompiledExpr> agg_args;
+  for (const SelectItem& item : stmt.items) {
+    items.push_back(item.is_aggregate
+                        ? CompiledExpr()
+                        : CompiledExpr::Compile(*item.expr, input_schema));
+    if (item.is_aggregate) {
+      agg_args.push_back(
+          item.agg_arg != nullptr
+              ? CompiledExpr::Compile(*item.agg_arg, input_schema)
+              : CompiledExpr());
+    }
+  }
+  std::vector<CompiledExpr> group_keys;
+  for (const ExprPtr& expr : group_exprs) {
+    group_keys.push_back(CompiledExpr::Compile(*expr, input_schema));
+  }
+
   using GroupKey = std::vector<std::string>;
   std::map<GroupKey, std::vector<AggCell>> cells;
 
@@ -208,19 +231,19 @@ StatusOr<PrestoResult> Presto::ExecuteOnPartitions(
     ++result.partitions_scanned;
     for (const Row& row : rows) {
       ++result.rows_scanned;
-      if (stmt.where != nullptr && !EvalPredicate(*stmt.where, row)) continue;
+      if (where.valid() && !where.EvalBool(row)) continue;
       if (!stmt.has_aggregates) {
         Row out(result.schema);
-        for (size_t i = 0; i < stmt.items.size(); ++i) {
-          out.Set(i, EvalExpr(*stmt.items[i].expr, row));
+        for (size_t i = 0; i < items.size(); ++i) {
+          out.Set(i, items[i].Eval(row));
         }
         result.rows.push_back(std::move(out));
         continue;
       }
       GroupKey key;
-      key.reserve(group_exprs.size());
-      for (const ExprPtr& expr : group_exprs) {
-        key.push_back(EvalExpr(*expr, row).ToString());
+      key.reserve(group_keys.size());
+      for (const CompiledExpr& expr : group_keys) {
+        key.push_back(expr.Eval(row).ToString());
       }
       auto& group_cells = cells[key];
       if (group_cells.empty()) {
@@ -228,18 +251,12 @@ StatusOr<PrestoResult> Presto::ExecuteOnPartitions(
           if (item.is_aggregate) group_cells.emplace_back(item.agg);
         }
       }
-      size_t a = 0;
-      for (const SelectItem& item : stmt.items) {
-        if (!item.is_aggregate) continue;
-        if (item.agg == puma::AggFunction::kCount &&
-            item.agg_arg == nullptr) {
-          group_cells[a].UpdateCount();
-        } else if (item.agg_arg != nullptr) {
-          group_cells[a].Update(EvalExpr(*item.agg_arg, row));
+      for (size_t a = 0; a < agg_args.size(); ++a) {
+        if (agg_args[a].valid()) {
+          group_cells[a].Update(agg_args[a].Eval(row));
         } else {
           group_cells[a].UpdateCount();
         }
-        ++a;
       }
     }
   }

@@ -1,6 +1,6 @@
 #include "puma/batch.h"
 
-#include "puma/expr.h"
+#include "puma/compiled_expr.h"
 
 namespace fbstream::puma {
 
@@ -27,17 +27,31 @@ StatusOr<PumaBatchResult> RunAppOverHive(
                                                         input.time_column));
       table_stmts.push_back(&table);
     }
-    std::vector<const CreateStreamStmt*> streams;
+    // Stream expressions compile once per job against the Hive table's
+    // schema — the same evaluator the streaming app runs per event.
+    FBSTREAM_ASSIGN_OR_RETURN(SchemaPtr hive_schema,
+                              hive.GetSchema(mapping->second));
+    struct CompiledStream {
+      const CreateStreamStmt* stmt;
+      SchemaPtr out_schema;
+      CompiledExpr where;  // Invalid when the stream has no WHERE.
+      std::vector<CompiledExpr> items;
+    };
+    std::vector<CompiledStream> streams;
     for (const CreateStreamStmt& stream : spec.streams) {
-      if (stream.from == input.name) streams.push_back(&stream);
-    }
-    std::map<const CreateStreamStmt*, SchemaPtr> stream_schemas;
-    for (const CreateStreamStmt* stream : streams) {
+      if (stream.from != input.name) continue;
+      CompiledStream compiled{&stream, nullptr, {}, {}};
       std::vector<Column> columns;
-      for (const SelectItem& item : stream->items) {
+      for (const SelectItem& item : stream.items) {
         columns.push_back(Column{item.alias, ValueType::kString});
+        compiled.items.push_back(
+            CompiledExpr::Compile(*item.expr, hive_schema));
       }
-      stream_schemas.emplace(stream, Schema::Make(std::move(columns)));
+      compiled.out_schema = Schema::Make(std::move(columns));
+      if (stream.where != nullptr) {
+        compiled.where = CompiledExpr::Compile(*stream.where, hive_schema);
+      }
+      streams.push_back(std::move(compiled));
     }
 
     for (const std::string& ds : partitions) {
@@ -46,16 +60,13 @@ StatusOr<PumaBatchResult> RunAppOverHive(
       for (const Row& row : rows) {
         ++result.input_rows;
         for (auto& agg : aggs) agg->ProcessRow(row);
-        for (const CreateStreamStmt* stream : streams) {
-          if (stream->where != nullptr &&
-              !EvalPredicate(*stream->where, row)) {
-            continue;
+        for (const CompiledStream& stream : streams) {
+          if (stream.where.valid() && !stream.where.EvalBool(row)) continue;
+          Row out(stream.out_schema);
+          for (size_t i = 0; i < stream.items.size(); ++i) {
+            out.Set(i, stream.items[i].Eval(row));
           }
-          Row out(stream_schemas.at(stream));
-          for (size_t i = 0; i < stream->items.size(); ++i) {
-            out.Set(i, EvalExpr(*stream->items[i].expr, row));
-          }
-          result.streams[stream->name].push_back(std::move(out));
+          result.streams[stream.stmt->name].push_back(std::move(out));
         }
       }
     }

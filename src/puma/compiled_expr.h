@@ -26,9 +26,13 @@ namespace fbstream::puma {
 // Compile-once contract: a UDF (re)registered after Compile() does not
 // affect an already-compiled expression; redeploy the app to pick it up.
 //
-// Semantics are exactly the interpreter's — both paths share the kernels in
-// expr.h's eval_detail (same AND/OR short-circuit, same coercions, same
-// div-by-zero -> 0), so Eval() is bit-identical to EvalExpr() on every row.
+// This is the only evaluator the product runs: streaming Puma, Puma batch
+// over Hive and Presto all compile once per app, job or query. Semantics
+// are exactly those of the tree-walking reference interpreter the tests
+// keep as an oracle (tests/support/puma_interpreter.h) — both share the
+// kernels in expr.h's eval_detail (same AND/OR short-circuit, same
+// coercions, same div-by-zero -> 0), so Eval() is bit-identical to the
+// interpreter on every row.
 // The one liberty taken: a subtree proven pure (no UDFs anywhere below) may
 // skip evaluating arguments whose value cannot affect the result — e.g. a
 // pure IF() evaluates only the taken branch — which is unobservable
@@ -41,7 +45,7 @@ class CompiledExpr {
   CompiledExpr() = default;
 
   // Compiles against the declared input schema. `udfs` defaults to the
-  // process-global registry, mirroring EvalExpr.
+  // process-global registry.
   static CompiledExpr Compile(const Expr& expr, const SchemaPtr& schema,
                               const UdfRegistry* udfs = nullptr);
 
@@ -52,7 +56,7 @@ class CompiledExpr {
   Value Eval(const Row& row) const {
     return fn_ != nullptr ? fn_(row) : Value();
   }
-  // Truthiness, mirroring EvalPredicate.
+  // Truthiness (eval_detail::Truthy of the value).
   bool EvalBool(const Row& row) const {
     return eval_detail::Truthy(Eval(row));
   }

@@ -31,19 +31,11 @@ class UdfRegistry {
   std::map<std::string, Udf> udfs_;
 };
 
-// Evaluates a scalar expression against one row. Aggregate calls must not
-// appear (the planner splits them out first); they evaluate to null.
-Value EvalExpr(const Expr& expr, const Row& row,
-               const UdfRegistry* udfs = nullptr);
-
-// Convenience: truthiness of an expression (non-zero / non-empty).
-bool EvalPredicate(const Expr& expr, const Row& row,
-                   const UdfRegistry* udfs = nullptr);
-
-// Evaluation kernels shared by the tree-walking interpreter above and the
-// closure compiler (puma/compiled_expr.h). Both paths MUST go through these
-// so compiled results stay bit-identical to interpreted ones — the
-// randomized differential test in query_serving_test.cc enforces that.
+// Evaluation kernels of the closure compiler (puma/compiled_expr.h). The
+// tree-walking reference interpreter the tests keep as an oracle
+// (tests/support/puma_interpreter.h) calls the same kernels, so the two stay
+// bit-identical — the randomized differential test in query_serving_test.cc
+// enforces that.
 namespace eval_detail {
 
 // SQL-ish truthiness: non-zero number / non-empty string; null is false.
@@ -63,9 +55,6 @@ using BuiltinFn = Value (*)(const Value* const* args, size_t n);
 // nullptr when unknown / wrong arity — such calls evaluate to null. All
 // builtins are pure, which is what licenses compile-time constant folding.
 BuiltinFn ResolveBuiltin(const std::string& fn, size_t arity);
-
-// Interpreter entry point: resolve-then-call on every evaluation.
-Value BuiltinCall(const std::string& fn, const Value* const* args, size_t n);
 
 }  // namespace eval_detail
 

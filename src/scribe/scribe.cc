@@ -65,9 +65,6 @@ void Bucket::PersistAppendLocked(const Message& m) {
   PutVarint64(&record, m.sequence);
   PutVarint64(&record, static_cast<uint64_t>(m.write_time));
   PutLengthPrefixed(&record, m.payload);
-  // Trace id rides after the payload. Pre-tracing segments simply lack the
-  // trailing varint (recovery treats it as optional), so old segments stay
-  // readable and the record checksum still covers the whole body.
   PutVarint64(&record, m.trace_id);
   // Framed as length + checksum + body (same contract as lsm/wal.h): a
   // torn or bit-flipped tail is detected on replay instead of decoding as
@@ -188,11 +185,12 @@ Status Bucket::RecoverFromDisk() {
       }
       uint64_t trace_id = 0;
       if (ok) {
+        // Every field is required and the body must end after the last
+        // one: a short or overlong record is corrupt like a torn one.
         std::string_view cursor = body;
         ok = GetVarint64(&cursor, &seq) && GetVarint64(&cursor, &wt) &&
-             GetLengthPrefixed(&cursor, &payload);
-        // Optional trailing trace id (absent in pre-tracing segments).
-        if (ok && !cursor.empty()) GetVarint64(&cursor, &trace_id);
+             GetLengthPrefixed(&cursor, &payload) &&
+             GetVarint64(&cursor, &trace_id) && cursor.empty();
       }
       if (!ok) {
         // Torn or corrupt record (crash mid-append, bit rot): truncate the

@@ -67,10 +67,12 @@ struct CategoryConfig {
 // Persistence uses rotated segment files (`segment-<base_seq>.log`): the
 // active segment rolls over every kSegmentMessages appends, and retention
 // trimming deletes whole expired segments from disk — the unit of deletion
-// in real log stores. Each on-disk record carries a checksum (as in
-// lsm/wal.h); replay stops at the first torn or corrupt record and
-// truncates the segment back to its intact prefix so later appends resume
-// from a clean record boundary.
+// in real log stores. Each on-disk record is framed as varint length +
+// fixed64 checksum + body (as in lsm/wal.h); the body is varint sequence,
+// varint write time, length-prefixed payload and varint trace id, all
+// required, and nothing may follow the trace id. Replay stops at the first
+// torn, short or corrupt record and truncates the segment back to its
+// intact prefix so later appends resume from a clean record boundary.
 class Bucket {
  public:
   static constexpr size_t kSegmentMessages = 4096;

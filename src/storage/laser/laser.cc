@@ -122,7 +122,6 @@ StatusOr<size_t> LaserApp::PollOnce() {
 }
 
 StatusOr<Row> LaserApp::Get(const std::vector<Value>& key) const {
-  num_queries_.fetch_add(1, std::memory_order_relaxed);
   reads_->Add(1);
   // Warm thread-local buffers: after the first call on a thread, encoding
   // the key and fetching the stored value allocate nothing.

@@ -1,7 +1,6 @@
 #ifndef FBSTREAM_STORAGE_LASER_LASER_H_
 #define FBSTREAM_STORAGE_LASER_LASER_H_
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <string>
@@ -89,9 +88,6 @@ class LaserApp {
   // §2.7). Rows must carry the key/value columns by name.
   Status LoadRows(const std::vector<Row>& rows);
 
-  uint64_t num_queries() const {
-    return num_queries_.load(std::memory_order_relaxed);
-  }
   uint64_t rows_ingested() const { return rows_ingested_; }
 
  private:
@@ -110,9 +106,7 @@ class LaserApp {
   std::unique_ptr<lsm::Db> db_;
   std::vector<scribe::Tailer> tailers_;
   uint64_t rows_ingested_ = 0;
-  // Reads are concurrent (the serving path takes no lock); plain counters
-  // would race.
-  mutable std::atomic<uint64_t> num_queries_{0};
+  // Read counts live only in the registry (label = app name).
   Counter* reads_;        // laser.read.queries
   Counter* read_misses_;  // laser.read.misses
 };

@@ -44,12 +44,10 @@ std::shared_ptr<const SstBlock> BlockCache::Lookup(uint64_t file_id,
   std::lock_guard<std::mutex> lock(mu_);
   auto it = map_.find(key);
   if (it == map_.end()) {
-    ++misses_;
     Metrics()->misses->Add();
     return nullptr;
   }
   lru_.splice(lru_.begin(), lru_, it->second);  // Mark most recently used.
-  ++hits_;
   Metrics()->hits->Add();
   return it->second->block;
 }
@@ -79,7 +77,6 @@ void BlockCache::EvictIfOverLocked() {
     bytes_ -= victim.block->charge;
     map_.erase(victim.key);
     lru_.pop_back();
-    ++evictions_;
     Metrics()->evictions->Add();
   }
 }
@@ -101,9 +98,6 @@ void BlockCache::EraseFile(uint64_t file_id) {
 BlockCache::Stats BlockCache::GetStats() const {
   std::lock_guard<std::mutex> lock(mu_);
   Stats stats;
-  stats.hits = hits_;
-  stats.misses = misses_;
-  stats.evictions = evictions_;
   stats.bytes = bytes_;
   stats.blocks = lru_.size();
   return stats;

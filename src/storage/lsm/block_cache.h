@@ -26,8 +26,9 @@ struct SstBlock {
 // drops the cache's reference, but pinned blocks stay alive until the last
 // iterator releases them.
 //
-// Thread-safe. Hit/miss/evict counters and the resident-bytes gauge are
-// published through the global MetricsRegistry as lsm.block_cache.*.
+// Thread-safe. Hit/miss/evict counts and the resident-bytes gauge live only
+// in the global MetricsRegistry (lsm.block_cache.*), the one store that
+// benches and telemetry read.
 class BlockCache {
  public:
   explicit BlockCache(size_t capacity_bytes);
@@ -46,10 +47,8 @@ class BlockCache {
   // Drops every cached block belonging to `file_id` (reader teardown).
   void EraseFile(uint64_t file_id);
 
+  // Resident contents of this instance.
   struct Stats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
     size_t bytes = 0;
     size_t blocks = 0;
   };
@@ -85,9 +84,6 @@ class BlockCache {
   std::list<Slot> lru_;  // Front = most recently used.
   std::unordered_map<Key, std::list<Slot>::iterator, KeyHash> map_;
   size_t bytes_ = 0;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-  uint64_t evictions_ = 0;
 };
 
 }  // namespace fbstream::lsm

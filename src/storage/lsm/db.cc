@@ -50,7 +50,7 @@ Db::Db(DbOptions options, std::string dir)
           dir_, cache_, options_.table_cache_handles)),
       gc_(std::make_shared<FileGc>(dir_, table_cache_)),
       rate_limiter_(options_.compaction_rate_bytes_per_sec),
-      versions_(dir_, table_cache_, options_.manifest_rotate_bytes) {}
+      versions_(dir_, options_.manifest_rotate_bytes) {}
 
 Db::~Db() {
   {
@@ -85,8 +85,6 @@ std::string Db::SstPath(uint64_t number) const {
 }
 
 std::string Db::WalPath(uint64_t number) const {
-  // Number 0 is the legacy single-log name from before per-memtable WALs.
-  if (number == 0) return dir_ + "/wal.log";
   char buf[32];
   snprintf(buf, sizeof(buf), "/wal-%06llu.log",
            static_cast<unsigned long long>(number));
@@ -94,9 +92,9 @@ std::string Db::WalPath(uint64_t number) const {
 }
 
 Status Db::RecoverLocked() {
-  // Level structure first: replay the MANIFEST's edit log (or migrate a
-  // legacy blob manifest). A fresh directory leaves the VersionSet empty
-  // and writes nothing — the MANIFEST is born on the first flush.
+  // Level structure first: replay the MANIFEST's edit log. A fresh
+  // directory leaves the VersionSet empty and writes nothing — the MANIFEST
+  // is born on the first flush.
   bool manifest_found = false;
   FBSTREAM_RETURN_IF_ERROR(versions_.Recover(&manifest_found));
   last_allocated_ = versions_.recovered_sequence();
@@ -104,10 +102,6 @@ Status Db::RecoverLocked() {
   FBSTREAM_ASSIGN_OR_RETURN(std::vector<std::string> names, ListDir(dir_));
   std::vector<uint64_t> wal_numbers;
   for (const std::string& name : names) {
-    if (name == "wal.log") {
-      wal_numbers.push_back(0);
-      continue;
-    }
     uint64_t n = 0;
     if (name.size() > 8 && name.rfind("wal-", 0) == 0 &&
         name.compare(name.size() - 4, 4, ".log") == 0 &&
@@ -722,9 +716,9 @@ StatusOr<std::string> Db::Get(std::string_view key) const {
 }
 
 void Db::CountLevelRead(int hit_level) const {
-  // Registry counters feed the telemetry exporter (a row per export tick);
-  // the atomics feed GetStats(). Interned once — the hot read path pays a
-  // relaxed add, not a name lookup.
+  // Registry counters are the one store (telemetry exports them, benches
+  // read deltas). Interned once — the hot read path pays a relaxed add, not
+  // a name lookup.
   static const std::array<Counter*, kNumLevels> per_level = [] {
     std::array<Counter*, kNumLevels> c{};
     for (int level = 0; level < kNumLevels; ++level) {
@@ -732,10 +726,7 @@ void Db::CountLevelRead(int hit_level) const {
     }
     return c;
   }();
-  if (hit_level >= 0 && hit_level < kNumLevels) {
-    level_reads_[hit_level].fetch_add(1, std::memory_order_relaxed);
-    per_level[hit_level]->Add();
-  }
+  if (hit_level >= 0 && hit_level < kNumLevels) per_level[hit_level]->Add();
 }
 
 StatusOr<std::string> Db::Get(std::string_view key,
@@ -1092,12 +1083,8 @@ Db::Stats Db::GetStats() const {
   for (int level = 0; level < kNumLevels; ++level) {
     stats.levels[level].files = static_cast<int>(levels[level].size());
     stats.levels[level].bytes = TotalBytes(levels[level]);
-    stats.levels[level].reads =
-        level_reads_[level].load(std::memory_order_relaxed);
     if (!levels[level].empty()) stats.num_levels = level + 1;
   }
-  stats.l0_files = stats.levels[0].files;
-  stats.l1_files = stats.levels[1].files;
   stats.flushes = flushes_;
   stats.compactions = compactions_;
   stats.write_stalls = write_stalls_;
@@ -1108,10 +1095,6 @@ Db::Stats Db::GetStats() const {
   stats.bytes_flushed = bytes_flushed_;
   stats.compaction_bytes_read = compaction_bytes_read_;
   stats.compaction_bytes_written = compaction_bytes_written_;
-  const TableCache::Stats tc = table_cache_->GetStats();
-  stats.table_cache_hits = tc.hits;
-  stats.table_cache_misses = tc.misses;
-  stats.table_cache_open_handles = tc.open_handles;
   return stats;
 }
 

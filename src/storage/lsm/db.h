@@ -99,8 +99,8 @@ class Db {
   // Opens (creating or recovering) a database in `dir`. Recovery replays
   // the MANIFEST's VersionEdit log into the level structure (verifying
   // every referenced SST), replays all WALs into the memtable, and removes
-  // orphaned files from interrupted flushes/compactions. A legacy
-  // single-blob MANIFEST is migrated to the edit-log format once. A fresh
+  // orphaned files from interrupted flushes/compactions. A MANIFEST in an
+  // unknown format is Status::Corruption (nothing is migrated). A fresh
   // directory writes no MANIFEST until the first flush — its absence is
   // the supervisor's "no local database" signal.
   static StatusOr<std::unique_ptr<Db>> Open(const DbOptions& options,
@@ -204,16 +204,15 @@ class Db {
   static Status RestoreBackupFromDir(const std::string& backup_dir,
                                      const std::string& dir);
 
+  // Point lookups resolved per level are counted only in the registry
+  // (lsm.level{n}.reads).
   struct LevelStats {
     int files = 0;
     uint64_t bytes = 0;
-    uint64_t reads = 0;  // Point lookups whose base resolved at this level.
   };
   struct Stats {
     size_t memtable_bytes = 0;
     size_t memtable_entries = 0;
-    int l0_files = 0;  // == levels[0].files (kept for compatibility).
-    int l1_files = 0;  // == levels[1].files.
     uint64_t flushes = 0;
     uint64_t compactions = 0;
     uint64_t write_stalls = 0;  // All stalled writes (memtable + L0).
@@ -234,10 +233,6 @@ class Db {
     uint64_t bytes_flushed = 0;
     uint64_t compaction_bytes_read = 0;
     uint64_t compaction_bytes_written = 0;
-    // Table cache (open SST handles) counters for this Db.
-    uint64_t table_cache_hits = 0;
-    uint64_t table_cache_misses = 0;
-    size_t table_cache_open_handles = 0;
   };
   Stats GetStats() const;
 
@@ -317,8 +312,6 @@ class Db {
   std::shared_ptr<const Version> CurrentVersion() const;
   mutable std::shared_mutex version_mu_;
   std::shared_ptr<const Version> current_;
-  // Point-lookup resolution depth, indexed by level (lock-free counters).
-  mutable std::array<std::atomic<uint64_t>, kNumLevels> level_reads_{};
 
   // --- Control plane (mu_) ------------------------------------------------
   mutable std::mutex mu_;

@@ -11,11 +11,9 @@
 namespace fbstream::lsm {
 
 namespace {
-// v1 wrote a flat entry array the reader decoded whole; v2 is block-based.
-// Both magics are kept so a v1 file is rejected with a clear message instead
-// of being misparsed.
-constexpr uint64_t kSstMagicV1 = 0xfb57ab1e00c0ffeeULL;
-constexpr uint64_t kSstMagicV2 = 0xfb57b10c00c0ffeeULL;
+// Block-based table format. Any other footer magic is Corruption (DESIGN.md
+// format-bump policy).
+constexpr uint64_t kSstMagic = 0xfb57b10c00c0ffeeULL;
 constexpr size_t kFooterBytes = 24;
 constexpr size_t kNoBlock = ~size_t{0};
 
@@ -96,7 +94,7 @@ Status SstWriter::Finish(const std::string& path) {
   // Fixed-size footer.
   PutFixed64(&data_, index_offset);
   PutFixed64(&data_, meta_offset);
-  PutFixed64(&data_, kSstMagicV2);
+  PutFixed64(&data_, kSstMagic);
   return WriteFileAtomic(path, data_);
 }
 
@@ -131,20 +129,15 @@ StatusOr<std::shared_ptr<SstReader>> SstReader::Open(
   GetFixed64(&footer, &index_offset);
   GetFixed64(&footer, &meta_offset);
   GetFixed64(&footer, &magic);
-  if (magic == kSstMagicV1) {
-    return Status::Corruption(
-        "sst v1 (pre-block) format is no longer supported, rewrite via "
-        "backup/restore from the old build: " +
-        path);
-  }
-  if (magic != kSstMagicV2) return Status::Corruption("sst bad magic: " + path);
-  const auto size = static_cast<uint64_t>(file_size);
-  if (index_offset > size || meta_offset > size || index_offset > meta_offset) {
+  if (magic != kSstMagic) return Status::Corruption("sst bad magic: " + path);
+  // The index and meta sections sit between the data and the footer.
+  const uint64_t footer_start = static_cast<uint64_t>(file_size) - kFooterBytes;
+  if (index_offset > meta_offset || meta_offset > footer_start) {
     return Status::Corruption("sst bad offsets: " + path);
   }
 
   // Index + meta tail (a few KiB even for large tables) is read eagerly.
-  std::string tail(size - kFooterBytes - index_offset, '\0');
+  std::string tail(footer_start - index_offset, '\0');
   if (pread(fd, tail.data(), tail.size(), static_cast<off_t>(index_offset)) !=
       static_cast<ssize_t>(tail.size())) {
     return Status::IoError("sst index read: " + path);
@@ -152,7 +145,7 @@ StatusOr<std::shared_ptr<SstReader>> SstReader::Open(
   std::string_view index(tail.data(), meta_offset - index_offset);
   uint64_t num_blocks = 0;
   if (!GetVarint64(&index, &num_blocks) ||
-      num_blocks > size / 4 + 1) {
+      num_blocks > footer_start / 4 + 1) {
     return Status::Corruption("sst bad index: " + path);
   }
   reader->index_.reserve(num_blocks);
@@ -162,7 +155,7 @@ StatusOr<std::shared_ptr<SstReader>> SstReader::Open(
     uint64_t block_size = 0;
     if (!GetLengthPrefixed(&index, &first_key) ||
         !GetFixed64(&index, &offset) || !GetFixed64(&index, &block_size) ||
-        offset + block_size > index_offset) {
+        block_size > index_offset || offset > index_offset - block_size) {
       return Status::Corruption("sst bad index entry: " + path);
     }
     reader->index_.push_back(

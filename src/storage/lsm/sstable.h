@@ -12,7 +12,7 @@
 
 namespace fbstream::lsm {
 
-// Immutable sorted table file, v2 (block-based) layout:
+// Immutable sorted table file, block-based layout:
 //   data:   ~block_bytes-sized blocks of entries in internal-key order
 //           (user_key, sequence, type, value; all length/varint coded).
 //           Blocks are cut only at user-key boundaries, so one key's whole
@@ -23,9 +23,9 @@ namespace fbstream::lsm {
 //           filter excludes the key)
 //   footer: index offset, meta offset, magic
 //
-// The v1 format (flat entry array, eagerly decoded on open) bumped the
-// footer magic; v1 files are rejected with Status::Corruption rather than
-// silently misread. See DESIGN.md "LSM concurrency model".
+// A file with any other footer magic is rejected with Status::Corruption
+// ("bad magic") rather than silently misread: formats are bumped, never
+// migrated in place (DESIGN.md format-bump policy).
 class SstWriter {
  public:
   explicit SstWriter(size_t block_bytes = 4096) : block_bytes_(block_bytes) {}

@@ -34,7 +34,6 @@ StatusOr<std::shared_ptr<SstReader>> TableCache::Acquire(uint64_t number) {
     auto it = shard.map.find(number);
     if (it != shard.map.end()) {
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      hits_.fetch_add(1, std::memory_order_relaxed);
       hit_count->Add();
       return it->second->second;
     }
@@ -42,7 +41,6 @@ StatusOr<std::shared_ptr<SstReader>> TableCache::Acquire(uint64_t number) {
 
   // Open outside the lock: a cold open is real I/O and must not serialize
   // hot hits on the same shard.
-  misses_.fetch_add(1, std::memory_order_relaxed);
   miss_count->Add();
   FBSTREAM_ASSIGN_OR_RETURN(std::shared_ptr<SstReader> reader,
                             SstReader::Open(SstFilePath(dir_, number),
@@ -59,7 +57,6 @@ StatusOr<std::shared_ptr<SstReader>> TableCache::Acquire(uint64_t number) {
   while (shard.lru.size() > per_shard_capacity_) {
     shard.map.erase(shard.lru.back().first);
     shard.lru.pop_back();
-    evictions_.fetch_add(1, std::memory_order_relaxed);
     evict_count->Add();
   }
   return reader;
@@ -72,18 +69,6 @@ void TableCache::Evict(uint64_t number) {
   if (it == shard.map.end()) return;
   shard.lru.erase(it->second);
   shard.map.erase(it);
-}
-
-TableCache::Stats TableCache::GetStats() const {
-  Stats stats;
-  stats.hits = hits_.load(std::memory_order_relaxed);
-  stats.misses = misses_.load(std::memory_order_relaxed);
-  stats.evictions = evictions_.load(std::memory_order_relaxed);
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(const_cast<Shard&>(shard).mu);
-    stats.open_handles += shard.lru.size();
-  }
-  return stats;
 }
 
 }  // namespace fbstream::lsm

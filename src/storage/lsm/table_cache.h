@@ -1,7 +1,6 @@
 #ifndef FBSTREAM_STORAGE_LSM_TABLE_CACHE_H_
 #define FBSTREAM_STORAGE_LSM_TABLE_CACHE_H_
 
-#include <atomic>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -28,6 +27,8 @@ namespace fbstream::lsm {
 // handles stay alive for any caller still holding the shared_ptr — exactly
 // like blocks evicted from the BlockCache — so eviction (or deletion of a
 // compacted-away file) never invalidates an in-flight read or iterator.
+// Hit/miss/evict counts live only in the global MetricsRegistry
+// (lsm.table_cache.*).
 class TableCache {
  public:
   // `capacity` caps cached open handles across all shards (min 1/shard).
@@ -40,14 +41,6 @@ class TableCache {
   // Drops the cached handle for a deleted file. In-flight holders keep the
   // unlinked file readable until they drop their reference.
   void Evict(uint64_t number);
-
-  struct Stats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-    size_t open_handles = 0;
-  };
-  Stats GetStats() const;
 
   const std::string& dir() const { return dir_; }
 
@@ -70,9 +63,6 @@ class TableCache {
   const std::shared_ptr<BlockCache> block_cache_;
   const size_t per_shard_capacity_;
   Shard shards_[kShards];
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> evictions_{0};
 };
 
 // "<dir>/NNNNNN.sst" — the canonical SST path for a file number.

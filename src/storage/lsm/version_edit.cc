@@ -166,41 +166,6 @@ void ManifestWriter::Close() {
 // ---------------------------------------------------------------------------
 // ReadManifest
 
-namespace {
-// Decoder for the pre-edit blob format: last_sequence, next_file_number,
-// then L0 and L1 file-number lists, all varint.
-Status DecodeLegacyBlob(std::string_view data, ManifestState* out) {
-  SequenceNumber last_sequence = 0;
-  uint64_t next_file_number = 0;
-  uint64_t n0 = 0;
-  uint64_t n1 = 0;
-  VersionEdit edit;
-  if (!GetVarint64(&data, &last_sequence) ||
-      !GetVarint64(&data, &next_file_number) || !GetVarint64(&data, &n0)) {
-    return Status::Corruption("legacy manifest header");
-  }
-  for (uint64_t i = 0; i < n0; ++i) {
-    uint64_t f = 0;
-    if (!GetVarint64(&data, &f)) return Status::Corruption("legacy manifest l0");
-    // Size and key range are unknown here; Db::Open's migration fills them
-    // by opening the file.
-    edit.AddFile(0, f, 0, "", "");
-  }
-  if (!GetVarint64(&data, &n1)) return Status::Corruption("legacy manifest l1");
-  for (uint64_t i = 0; i < n1; ++i) {
-    uint64_t f = 0;
-    if (!GetVarint64(&data, &f)) return Status::Corruption("legacy manifest l1");
-    edit.AddFile(1, f, 0, "", "");
-  }
-  if (!data.empty()) return Status::Corruption("legacy manifest trailer");
-  edit.last_sequence = last_sequence;
-  edit.next_file_number = next_file_number;
-  out->edits.push_back(std::move(edit));
-  out->legacy = true;
-  return Status::OK();
-}
-}  // namespace
-
 StatusOr<ManifestState> ReadManifest(const std::string& path) {
   FBSTREAM_ASSIGN_OR_RETURN(std::string data, ReadFileToString(path));
   ManifestState state;
@@ -208,10 +173,9 @@ StatusOr<ManifestState> ReadManifest(const std::string& path) {
   uint64_t magic = 0;
   std::string_view magic_probe = view;
   if (!GetFixed64(&magic_probe, &magic) || magic != kManifestMagic) {
-    // Pre-edit blob (the one-time migration path), or garbage — the legacy
-    // decoder rejects the latter loudly.
-    FBSTREAM_RETURN_IF_ERROR(DecodeLegacyBlob(view, &state));
-    return state;
+    // Unknown format: nothing is migrated in place (DESIGN.md format-bump
+    // policy).
+    return Status::Corruption("manifest bad magic: " + path);
   }
   view = magic_probe;
   while (!view.empty()) {

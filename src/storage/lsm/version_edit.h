@@ -67,9 +67,8 @@ struct VersionEdit {
 // there the prefix really would desynchronize the level structure from the
 // files on disk.
 //
-// The previous format — a single atomic blob rewritten wholesale on every
-// flush/compaction — carries no magic; ReadManifest detects it and returns
-// the decoded state flagged `legacy` so Db::Open can migrate once.
+// A file without this magic is Status::Corruption: formats are bumped
+// loudly and never migrated in place (DESIGN.md format-bump policy).
 constexpr uint64_t kManifestMagic = 0x46424c534d4d3032;  // "FBLSMM02"
 
 class ManifestWriter {
@@ -105,17 +104,14 @@ class ManifestWriter {
 // The full decoded state of a MANIFEST.
 struct ManifestState {
   std::vector<VersionEdit> edits;  // In append order.
-  bool legacy = false;             // Decoded from the pre-edit blob format.
   // A torn final record was dropped; the caller must rewrite the log so
   // future appends don't land after the torn bytes.
   bool truncated = false;
 };
 
-// Reads and validates `path`. New-format files return their edit sequence;
-// legacy blob files return a single synthesized edit (L0/L1 adds with
-// unknown sizes/ranges) flagged legacy. A torn final record is dropped
-// (`truncated` set); interior corruption — or a log with no complete
-// edits at all — is Status::Corruption.
+// Reads and validates `path`, returning its edit sequence. A torn final
+// record is dropped (`truncated` set); a missing or unknown magic, interior
+// corruption, or a log with no complete edits at all is Status::Corruption.
 StatusOr<ManifestState> ReadManifest(const std::string& path);
 
 // Atomically replaces `path` with a fresh log holding exactly `snapshot`

@@ -17,12 +17,9 @@ Gauge* LevelGauge(const char* fmt, int level) {
 }
 }  // namespace
 
-VersionSet::VersionSet(std::string dir,
-                       std::shared_ptr<TableCache> table_cache,
-                       uint64_t rotate_bytes)
+VersionSet::VersionSet(std::string dir, uint64_t rotate_bytes)
     : dir_(std::move(dir)),
       manifest_path_(dir_ + "/MANIFEST"),
-      table_cache_(std::move(table_cache)),
       rotate_bytes_(rotate_bytes) {}
 
 VersionSet::~VersionSet() {
@@ -112,57 +109,32 @@ Status VersionSet::Recover(bool* manifest_found) {
   }
   last_sequence_ = recovered_sequence_;
 
-  if (state.legacy) {
-    // One-time migration: the blob format recorded only file numbers. Open
-    // each table to learn its key range and stat its size, then rewrite the
-    // MANIFEST in the edit-log format. A missing file fails the open loudly.
-    for (int level = 0; level < kNumLevels; ++level) {
-      for (FileMeta& f : levels_[level]) {
-        FBSTREAM_ASSIGN_OR_RETURN(std::shared_ptr<SstReader> reader,
-                                  table_cache_->Acquire(f.number));
-        FBSTREAM_ASSIGN_OR_RETURN(f.file_size,
-                                  FileSize(SstFilePath(dir_, f.number)));
-        f.smallest = reader->smallest();
-        f.largest = reader->largest();
+  // Verify the log matches the directory: every live table must exist at
+  // its recorded size. Anything else means lost or mangled state — fail
+  // loudly so the operator (or the node supervisor's backup restore)
+  // takes over instead of silently serving a hole.
+  for (int level = 0; level < kNumLevels; ++level) {
+    for (const FileMeta& f : levels_[level]) {
+      const std::string path = SstFilePath(dir_, f.number);
+      const StatusOr<uint64_t> size = FileSize(path);
+      if (!size.ok()) {
+        return Status::Corruption("manifest references missing sst " + path);
       }
-      // The blob format never guaranteed L1 order; restore the invariant.
-      if (level > 0) {
-        std::sort(levels_[level].begin(), levels_[level].end(),
-                  [](const FileMeta& a, const FileMeta& b) {
-                    return a.smallest < b.smallest;
-                  });
+      if (size.value() != f.file_size) {
+        return Status::Corruption("sst size mismatch " + path);
       }
     }
+  }
+  if (state.truncated) {
+    // A torn final record was dropped (crash mid-append; the edit was
+    // never acknowledged). Rewrite the log as one snapshot of the
+    // recovered prefix so the torn bytes don't sit under future appends;
+    // the dropped edit's output SSTs fall to the orphan sweep.
     FBSTREAM_RETURN_IF_ERROR(RotateTo(levels_));
-    FBSTREAM_LOG(Info) << "lsm migrated legacy manifest " << manifest_path_;
-  } else {
-    // Verify the log matches the directory: every live table must exist at
-    // its recorded size. Anything else means lost or mangled state — fail
-    // loudly so the operator (or the node supervisor's backup restore)
-    // takes over instead of silently serving a hole.
-    for (int level = 0; level < kNumLevels; ++level) {
-      for (const FileMeta& f : levels_[level]) {
-        const std::string path = SstFilePath(dir_, f.number);
-        const StatusOr<uint64_t> size = FileSize(path);
-        if (!size.ok()) {
-          return Status::Corruption("manifest references missing sst " + path);
-        }
-        if (f.file_size != 0 && size.value() != f.file_size) {
-          return Status::Corruption("sst size mismatch " + path);
-        }
-      }
-    }
-    if (state.truncated) {
-      // A torn final record was dropped (crash mid-append; the edit was
-      // never acknowledged). Rewrite the log as one snapshot of the
-      // recovered prefix so the torn bytes don't sit under future appends;
-      // the dropped edit's output SSTs fall to the orphan sweep.
-      FBSTREAM_RETURN_IF_ERROR(RotateTo(levels_));
-      FBSTREAM_LOG(Warning) << "lsm manifest tail torn; recovered "
-                            << state.edits.size()
-                            << " complete edits and rewrote "
-                            << manifest_path_;
-    }
+    FBSTREAM_LOG(Warning) << "lsm manifest tail torn; recovered "
+                          << state.edits.size()
+                          << " complete edits and rewrote "
+                          << manifest_path_;
   }
 
   UpdateGauges();

@@ -24,13 +24,9 @@ namespace fbstream::lsm {
 //   - Every subsequent change appends one framed edit record.
 //   - When the log outgrows `rotate_bytes`, LogAndApply folds the current
 //     state into a fresh snapshot instead of appending (atomic replace).
-//   - A legacy single-blob MANIFEST is migrated on Recover: file sizes and
-//     key ranges are learned by opening the tables, then the log is
-//     rewritten in the new format.
 class VersionSet {
  public:
-  VersionSet(std::string dir, std::shared_ptr<TableCache> table_cache,
-             uint64_t rotate_bytes);
+  VersionSet(std::string dir, uint64_t rotate_bytes);
   ~VersionSet();
   VersionSet(const VersionSet&) = delete;
   VersionSet& operator=(const VersionSet&) = delete;
@@ -81,7 +77,6 @@ class VersionSet {
 
   const std::string dir_;
   const std::string manifest_path_;
-  const std::shared_ptr<TableCache> table_cache_;
   const uint64_t rotate_bytes_;
 
   std::array<std::vector<FileMeta>, kNumLevels> levels_;

@@ -158,7 +158,6 @@ ModeResult RunSemanticsWorkload(bool continuous, StateSemantics state,
     PreloadInput(&scribe, 600);
 
     Pipeline::Options options;
-    options.overlap_commits = true;
     options.commit_threads = 2;
     options.idle_sleep_micros = 100;
     Pipeline pipeline(&scribe, &clock, options);

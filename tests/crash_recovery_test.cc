@@ -310,7 +310,6 @@ void RunDriverChild(const std::string& root, StateSemantics state,
   // shard already processing batch N+1 while batch N's checkpoint commits),
   // which is exactly the window the §4.2 overlap must keep recoverable.
   Pipeline::Options options;
-  options.overlap_commits = true;
   options.commit_threads = 2;
   options.idle_sleep_micros = 100;
   Pipeline pipeline(&scribe, &clock, options);

@@ -383,7 +383,6 @@ class GoldenReplay {
     // Mirror the worker runtime exactly: same pipeline options, same
     // continuous-mode lifecycle, so checkpoint bytes are comparable.
     stylus::Pipeline::Options options;
-    options.overlap_commits = true;
     options.commit_threads = 2;
     options.idle_sleep_micros = 500;
     options.snapshot_every_batches = 8;
@@ -544,7 +543,6 @@ TEST(PartialRecoverTest, FilteredSlicesConvergeToFullRecovery) {
   const WorkloadMode mode = WorkloadMode::kExactlyOnce;
 
   stylus::Pipeline::Options options;
-  options.overlap_commits = true;
   options.commit_threads = 2;
   options.idle_sleep_micros = 500;
   options.snapshot_every_batches = 8;

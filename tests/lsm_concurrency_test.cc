@@ -373,7 +373,7 @@ TEST_F(LsmFaultTest, FlushFaultIsStickyAndDataRecoversOnReopen) {
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(v.value(), "v");
   ASSERT_TRUE(db->Flush().ok());
-  EXPECT_EQ(db->GetStats().l0_files, 1);
+  EXPECT_EQ(db->GetStats().levels[0].files, 1);
 }
 
 TEST_F(LsmFaultTest, CompactionFaultSurfacesAndInputsSurvive) {
@@ -404,7 +404,7 @@ TEST_F(LsmFaultTest, CompactionFaultSurfacesAndInputsSurvive) {
     EXPECT_EQ(v.value(), "v" + std::to_string(i));
   }
   ASSERT_TRUE(db->CompactAll().ok());
-  EXPECT_EQ(db->GetStats().l0_files, 0);
+  EXPECT_EQ(db->GetStats().levels[0].files, 0);
   EXPECT_GT(db->GetStats().compactions, 0u);
 }
 

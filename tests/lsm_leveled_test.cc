@@ -1,7 +1,7 @@
 // Tests for the leveled compaction engine: multi-level read correctness
 // against a golden flat store, L0-trigger and level-target scheduling,
 // compaction rate limiting (priority, cancel, L0 preemption), MANIFEST
-// durability (torn tails, corrupt records, legacy-blob migration), and
+// durability (torn tails, corrupt records, unknown formats), and
 // kill-mid-compaction crash recovery.
 
 #include <gtest/gtest.h>
@@ -319,7 +319,10 @@ TEST_F(LeveledDbTest, CorruptManifestInteriorFailsLoudly) {
 }
 
 // A checksum failure on the log's only record leaves nothing to recover —
-// indistinguishable from garbage, so still a loud Corruption.
+// indistinguishable from garbage, so still a loud Corruption. So is a
+// MANIFEST in any other format, e.g. the retired single-blob layout
+// (varint last_sequence, next_file_number, then L0 and L1 file-number
+// lists, no magic): formats are never migrated in place.
 TEST_F(LeveledDbTest, CorruptManifestRecordFailsLoudly) {
   const std::string db_dir = dir_ + "/db";
   {
@@ -331,24 +334,6 @@ TEST_F(LeveledDbTest, CorruptManifestRecordFailsLoudly) {
   ASSERT_TRUE(contents.ok());
   std::string mangled = *contents;
   mangled.back() = static_cast<char>(mangled.back() ^ 0xff);
-  ASSERT_TRUE(WriteFileAtomic(db_dir + "/MANIFEST", mangled).ok());
-  const auto reopened = Db::Open(DbOptions{}, db_dir);
-  ASSERT_FALSE(reopened.ok());
-  EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption)
-      << reopened.status();
-}
-
-// A directory written by the pre-edit-log format (single blob of file
-// numbers) opens cleanly, serves its data, and leaves behind a migrated
-// edit-log MANIFEST.
-TEST_F(LeveledDbTest, LegacyBlobManifestMigratesOnce) {
-  const std::string db_dir = dir_ + "/db";
-  ASSERT_TRUE(CreateDirs(db_dir).ok());
-  SstWriter writer;
-  writer.Add(Entry{InternalKey{"alpha", 1, EntryType::kPut}, "1"});
-  writer.Add(Entry{InternalKey{"bravo", 2, EntryType::kPut}, "2"});
-  writer.Add(Entry{InternalKey{"china", 3, EntryType::kPut}, "3"});
-  ASSERT_TRUE(writer.Finish(db_dir + "/000005.sst").ok());
 
   std::string blob;
   PutVarint64(&blob, 3);  // last_sequence
@@ -356,28 +341,17 @@ TEST_F(LeveledDbTest, LegacyBlobManifestMigratesOnce) {
   PutVarint64(&blob, 1);  // L0 count
   PutVarint64(&blob, 5);  //   file 5
   PutVarint64(&blob, 0);  // L1 count
-  ASSERT_TRUE(WriteFileAtomic(db_dir + "/MANIFEST", blob).ok());
 
-  auto db = OpenDb(DbOptions{}, "db");
-  EXPECT_EQ(*db->Get("alpha"), "1");
-  EXPECT_EQ(*db->Get("bravo"), "2");
-  EXPECT_EQ(*db->Get("china"), "3");
-
-  // The migration rewrote the MANIFEST in the framed edit-log format.
-  auto migrated = ReadFileToString(db_dir + "/MANIFEST");
-  ASSERT_TRUE(migrated.ok());
-  std::string_view view(*migrated);
-  uint64_t magic = 0;
-  ASSERT_TRUE(GetFixed64(&view, &magic));
-  EXPECT_EQ(magic, kManifestMagic);
-
-  // Life continues in the new format across flushes and reopen.
-  ASSERT_TRUE(db->Put("delta", "4").ok());
-  ASSERT_TRUE(db->Flush().ok());
-  db.reset();
-  db = OpenDb(DbOptions{}, "db");
-  EXPECT_EQ(*db->Get("alpha"), "1");
-  EXPECT_EQ(*db->Get("delta"), "4");
+  for (const std::string& manifest : {mangled, blob}) {
+    ASSERT_TRUE(WriteFileAtomic(db_dir + "/MANIFEST", manifest).ok());
+    const auto reopened = Db::Open(DbOptions{}, db_dir);
+    ASSERT_FALSE(reopened.ok());
+    EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption)
+        << reopened.status();
+  }
+  // The blob is rejected for its format, before any file is consulted.
+  EXPECT_NE(Db::Open(DbOptions{}, db_dir).status().message().find("bad magic"),
+            std::string::npos);
 }
 
 // Kill the process at the compaction job itself and at both MANIFEST

@@ -14,7 +14,7 @@
 #include "puma/agg.h"
 #include "puma/app.h"
 #include "puma/batch.h"
-#include "puma/expr.h"
+#include "puma/compiled_expr.h"
 #include "puma/lexer.h"
 #include "puma/parser.h"
 #include "storage/laser/laser.h"
@@ -179,13 +179,14 @@ TEST(ExprTest, ArithmeticAndComparison) {
                               {"s", ValueType::kString}});
   Row row(schema, {Value(10), Value(2.5), Value("Hello")});
 
-  auto eval = [&row](const std::string& source) {
+  auto eval = [&schema, &row](const std::string& source) {
     auto spec = ParseApp(
         "CREATE APPLICATION x; CREATE INPUT TABLE t (a, b, s) FROM "
         "SCRIBE(\"c\") TIME a; CREATE STREAM o AS SELECT " +
         source + " AS r FROM t EMIT TO SCRIBE(\"c\");");
     EXPECT_TRUE(spec.ok()) << spec.status();
-    return EvalExpr(*spec->streams[0].items[0].expr, row);
+    return CompiledExpr::Compile(*spec->streams[0].items[0].expr, schema)
+        .Eval(row);
   };
 
   EXPECT_EQ(eval("a + 5").AsInt64(), 15);
@@ -212,17 +213,22 @@ TEST(ExprTest, BuiltinsAndUdfs) {
   col->kind = ExprKind::kColumn;
   col->column = "s";
   call.args.push_back(col);
-  EXPECT_EQ(EvalExpr(call, row).AsString(), "hello world");
+  // Checked through the product evaluator: compiled once, then run per row.
+  auto eval = [&schema, &row](const Expr& expr,
+                              const UdfRegistry* udfs = nullptr) {
+    return CompiledExpr::Compile(expr, schema, udfs).Eval(row);
+  };
+  EXPECT_EQ(eval(call).AsString(), "hello world");
 
   call.function = "LENGTH";
-  EXPECT_EQ(EvalExpr(call, row).AsInt64(), 11);
+  EXPECT_EQ(eval(call).AsInt64(), 11);
 
   call.function = "CONTAINS";
   auto lit = std::make_shared<Expr>();
   lit->kind = ExprKind::kLiteral;
   lit->literal = Value("World");
   call.args.push_back(lit);
-  EXPECT_EQ(EvalExpr(call, row).AsInt64(), 1);
+  EXPECT_EQ(eval(call).AsInt64(), 1);
 
   // User-defined function overrides.
   UdfRegistry registry;
@@ -238,7 +244,7 @@ TEST(ExprTest, BuiltinsAndUdfs) {
   udf.kind = ExprKind::kCall;
   udf.function = "CLASSIFY";
   udf.args.push_back(col);
-  EXPECT_EQ(EvalExpr(udf, row, &registry).AsString(), "long");
+  EXPECT_EQ(eval(udf, &registry).AsString(), "long");
 
   // UDFs cannot shadow aggregates.
   EXPECT_FALSE(registry.Register("sum", [](const std::vector<Value>&) {
