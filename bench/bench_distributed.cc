@@ -2,7 +2,9 @@
 // topology introduces:
 //   * transport tax — appends through the socket Scribe transport
 //     (RemoteScribe -> ScribeServer over localhost TCP, one RPC per append)
-//     vs the same appends on the in-process Scribe the broker wraps.
+//     vs the same appends on the in-process Scribe the broker wraps; and
+//     the same appends handed over in 256-row WriteShardedBatch calls (one
+//     RPC per batch), the engine's default checkpoint interval.
 //   * restart-to-caught-up — a worker pipeline over the remote bus is
 //     stopped, a backlog accrues at the broker, and a successor recovers
 //     from the durable manifest and drains back to lag zero; the paper's
@@ -14,10 +16,12 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "cluster/workload.h"
 #include "common/clock.h"
 #include "common/fs.h"
+#include "common/metrics.h"
 #include "core/pipeline.h"
 #include "core/recovery.h"
 #include "scribe/remote.h"
@@ -35,6 +39,8 @@ double NowSeconds() {
 int Run(bool smoke, const std::string& out_path) {
   const int appends = smoke ? 2'000 : 20'000;
   const size_t payload_bytes = 512;
+  // NodeConfig::checkpoint_every_events: one engine batch.
+  const int batch_rows = 256;
   const int warmup_events = smoke ? 200 : 2'000;
   const int backlog_events = smoke ? 400 : 4'000;
 
@@ -78,12 +84,33 @@ int Run(bool smoke, const std::string& out_path) {
   }
   const double transport_tax = inproc_per_sec / remote_per_sec;
 
+  double remote_batched_per_sec = 0;
+  {
+    scribe::RemoteScribe remote(clock, "127.0.0.1", server.port(),
+                                "bench.ingest.batched");
+    std::vector<scribe::ShardedRecord> batch;
+    for (int i = 0; i < batch_rows; ++i) {
+      batch.push_back({"key" + std::to_string(i), payload});
+    }
+    const int batches = appends / batch_rows;
+    const double t0 = NowSeconds();
+    for (int i = 0; i < batches; ++i) {
+      if (!remote.WriteShardedBatch("ingest", batch).ok()) return 1;
+    }
+    remote_batched_per_sec = batches * batch_rows / (NowSeconds() - t0);
+  }
+  const double batched_transport_tax = inproc_per_sec / remote_batched_per_sec;
+
   printf("  in-process append:  %10.0f appends/s (%7.1f MB/s)\n",
          inproc_per_sec, inproc_per_sec * payload_bytes / 1e6);
   printf("  remote append:      %10.0f appends/s (%7.1f MB/s)\n",
          remote_per_sec, remote_per_sec * payload_bytes / 1e6);
-  printf("  transport tax:      %10.1fx per-append RPC overhead\n\n",
+  printf("  transport tax:      %10.1fx per-append RPC overhead\n",
          transport_tax);
+  printf("  remote batched:     %10.0f appends/s (%d-row batches)\n",
+         remote_batched_per_sec, batch_rows);
+  printf("  batched tax:        %10.1fx vs in-process per-append\n\n",
+         batched_transport_tax);
 
   // -- Part 2: restart-to-caught-up. The at-least-once two-hop chain
   // (alpha: in -> mid, beta: mid -> out) runs over the remote bus exactly
@@ -131,6 +158,10 @@ int Run(bool smoke, const std::string& out_path) {
 
   double recover_ms = 0;
   double caught_up_ms = 0;
+  // Every bus call of the catch-up is an RPC (appends, polls, lag probes):
+  // per drained event, this is the transport work the batch path saves.
+  Counter* rpcs = MetricsRegistry::Global()->GetCounter("scribe.remote.rpcs");
+  const uint64_t rpcs_before = rpcs->value();
   {
     const double t0 = NowSeconds();
     stylus::Pipeline revived(&worker_bus, clock, options);
@@ -141,10 +172,14 @@ int Run(bool smoke, const std::string& out_path) {
     caught_up_ms = (NowSeconds() - t0) * 1e3;
     if (!revived.Stop().ok()) return 1;
   }
+  const double catch_up_rpcs_per_event =
+      static_cast<double>(rpcs->value() - rpcs_before) / backlog_events;
 
   printf("  recover (manifest + checkpoints): %8.1f ms\n", recover_ms);
   printf("  restart-to-caught-up (%4d-event backlog): %8.1f ms\n",
          backlog_events, caught_up_ms);
+  printf("  catch-up RPCs per backlog event:          %8.2f\n",
+         catch_up_rpcs_per_event);
   printf("\nshape check: the transport tax buys process isolation (a worker\n"
          "SIGKILL can no longer take the broker down), and catch-up stays\n"
          "bounded by backlog size — the paper's case that brokered\n"
@@ -160,13 +195,18 @@ int Run(bool smoke, const std::string& out_path) {
            "  \"inproc_appends_per_sec\": %.0f,\n"
            "  \"remote_appends_per_sec\": %.0f,\n"
            "  \"transport_tax_x\": %.2f,\n"
+           "  \"batch_rows\": %d,\n"
+           "  \"remote_batched_appends_per_sec\": %.0f,\n"
+           "  \"batched_transport_tax_x\": %.2f,\n"
            "  \"backlog_events\": %d,\n"
            "  \"recover_ms\": %.3f,\n"
-           "  \"restart_to_caught_up_ms\": %.3f\n"
+           "  \"restart_to_caught_up_ms\": %.3f,\n"
+           "  \"catch_up_rpcs_per_event\": %.3f\n"
            "}\n",
            smoke ? "true" : "false", appends, payload_bytes, inproc_per_sec,
-           remote_per_sec, transport_tax, backlog_events, recover_ms,
-           caught_up_ms);
+           remote_per_sec, transport_tax, batch_rows, remote_batched_per_sec,
+           batched_transport_tax, backlog_events, recover_ms, caught_up_ms,
+           catch_up_rpcs_per_event);
   const Status write = WriteFileAtomic(out_path, json);
   if (!write.ok()) {
     fprintf(stderr, "writing %s: %s\n", out_path.c_str(),

@@ -10,13 +10,27 @@ ScribeSink::ScribeSink(scribe::Scribe* scribe, std::string category,
       codec_(std::move(output_schema)),
       shard_columns_(std::move(shard_columns)) {}
 
-Status ScribeSink::Emit(const Row& row) {
+std::string ScribeSink::ShardKeyOf(const Row& row) const {
   std::string shard_key;
   for (const std::string& col : shard_columns_) {
     shard_key += row.Get(col).ToString();
     shard_key.push_back('\x01');
   }
-  return scribe_->WriteSharded(category_, shard_key, codec_.Encode(row));
+  return shard_key;
+}
+
+Status ScribeSink::Emit(const Row& row) {
+  return scribe_->WriteSharded(category_, ShardKeyOf(row), codec_.Encode(row));
+}
+
+Status ScribeSink::EmitBatch(const std::vector<Row>& rows) {
+  if (rows.empty()) return Status::OK();
+  std::vector<scribe::ShardedRecord> records;
+  records.reserve(rows.size());
+  for (const Row& row : rows) {
+    records.push_back({ShardKeyOf(row), codec_.Encode(row)});
+  }
+  return scribe_->WriteShardedBatch(category_, records);
 }
 
 Status ScubaSink::Emit(const Row& row) {

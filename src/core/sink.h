@@ -25,6 +25,13 @@ class OutputSink {
   virtual ~OutputSink() = default;
 
   virtual Status Emit(const Row& row) = 0;
+  // Emits a batch of rows in order. The default loops Emit, so a sink (or
+  // a wrapper around another sink) that overrides only Emit still sees
+  // every row; sinks with a cheaper bulk path override it.
+  virtual Status EmitBatch(const std::vector<Row>& rows) {
+    for (const Row& row : rows) FBSTREAM_RETURN_IF_ERROR(Emit(row));
+    return Status::OK();
+  }
 
   virtual bool SupportsTransactions() const { return false; }
   // For exactly-once output: translate rows into ops committed atomically
@@ -51,9 +58,13 @@ class ScribeSink : public OutputSink {
              SchemaPtr output_schema, std::vector<std::string> shard_columns);
 
   Status Emit(const Row& row) override;
+  // One Scribe::WriteShardedBatch call for the whole batch.
+  Status EmitBatch(const std::vector<Row>& rows) override;
   std::string OutputCategory() const override { return category_; }
 
  private:
+  std::string ShardKeyOf(const Row& row) const;
+
   scribe::Scribe* scribe_;
   std::string category_;
   TextRowCodec codec_;

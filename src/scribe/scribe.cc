@@ -272,7 +272,10 @@ const Bucket* Category::bucket(int i) const {
 }
 
 Status Category::SetNumBuckets(int n) {
-  if (n <= 0) return Status::InvalidArgument("num_buckets must be positive");
+  if (n <= 0 || n > kMaxBucketsPerCategory) {
+    return Status::InvalidArgument("num_buckets must be in 1.." +
+                                   std::to_string(kMaxBucketsPerCategory));
+  }
   std::lock_guard<std::mutex> lock(mu_);
   while (static_cast<size_t>(n) > buckets_.size()) {
     const int i = static_cast<int>(buckets_.size());
@@ -308,8 +311,9 @@ Status Scribe::CreateCategory(const CategoryConfig& config) {
   if (config.name.empty()) {
     return Status::InvalidArgument("category name must not be empty");
   }
-  if (config.num_buckets <= 0) {
-    return Status::InvalidArgument("num_buckets must be positive");
+  if (config.num_buckets <= 0 || config.num_buckets > kMaxBucketsPerCategory) {
+    return Status::InvalidArgument("num_buckets must be in 1.." +
+                                   std::to_string(kMaxBucketsPerCategory));
   }
   if (config.persist_to_disk && root_dir_.empty()) {
     return Status::InvalidArgument(
@@ -389,6 +393,14 @@ Status Scribe::WriteSharded(const std::string& category,
   const int n = c->num_buckets();
   const int bucket = static_cast<int>(Fnv1a64(shard_key) % uint64_t(n));
   return Write(category, bucket, payload);
+}
+
+Status Scribe::WriteShardedBatch(const std::string& category,
+                                 const std::vector<ShardedRecord>& records) {
+  for (const ShardedRecord& r : records) {
+    FBSTREAM_RETURN_IF_ERROR(WriteSharded(category, r.shard_key, r.payload));
+  }
+  return Status::OK();
 }
 
 StatusOr<std::vector<Message>> Scribe::Read(const std::string& category,

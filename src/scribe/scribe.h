@@ -42,9 +42,20 @@ struct Message {
   uint64_t trace_id = 0;
 };
 
+// One row of a batched append (Scribe::WriteShardedBatch).
+struct ShardedRecord {
+  std::string shard_key;
+  std::string payload;
+};
+
+// Upper bound on a category's bucket count. Buckets are allocated eagerly,
+// so an unbounded count (a bad config, a damaged request frame) would be
+// an unbounded allocation.
+inline constexpr int kMaxBucketsPerCategory = 4096;
+
 struct CategoryConfig {
   std::string name;
-  int num_buckets = 1;
+  int num_buckets = 1;  // 1..kMaxBucketsPerCategory.
   // Messages older than this are eligible for trimming ("up to a few days").
   Micros retention_micros = 3 * kMicrosPerDay;
   // Minimum delay before a written message becomes visible to readers;
@@ -202,6 +213,15 @@ class Scribe {
   virtual Status WriteSharded(const std::string& category,
                               const std::string& shard_key,
                               const std::string& payload);
+  // Appends `records` in order, each routed as WriteSharded routes it: the
+  // producer-side batching of §2.1 ("seconds" of latency buy one bus call
+  // per batch). Stops at the first failed row and returns its error; the
+  // rows before it have landed. This in-process version loops the virtual
+  // WriteSharded, so a subclass that wraps another bus and overrides only
+  // the single-row calls stays correct; RemoteScribe overrides it with one
+  // RPC per batch.
+  virtual Status WriteShardedBatch(const std::string& category,
+                                   const std::vector<ShardedRecord>& records);
 
   // Reads messages visible now. Used by Tailer; exposed for tests.
   virtual StatusOr<std::vector<Message>> Read(const std::string& category,

@@ -17,6 +17,7 @@
 #include "common/fault.h"
 #include "common/fs.h"
 #include "common/hash.h"
+#include "common/metrics.h"
 #include "common/serde.h"
 #include "scribe/remote.h"
 #include "scribe/scribe.h"
@@ -71,6 +72,61 @@ std::string WriteBody(const std::string& category, int bucket,
   PutFixed64(&body, guid);
   PutVarint64(&body, token);
   return body;
+}
+
+// A kWriteShardedBatch request body: row i carries token first_token + i.
+std::string BatchBody(const std::string& category, uint64_t guid,
+                      uint64_t first_token,
+                      const std::vector<ShardedRecord>& rows) {
+  std::string body;
+  body.push_back(static_cast<char>(RemoteOp::kWriteShardedBatch));
+  PutLengthPrefixed(&body, category);
+  PutFixed64(&body, guid);
+  PutVarint64(&body, first_token);
+  PutVarint64(&body, rows.size());
+  for (const ShardedRecord& r : rows) {
+    PutLengthPrefixed(&body, r.shard_key);
+    PutLengthPrefixed(&body, r.payload);
+  }
+  return body;
+}
+
+std::vector<ShardedRecord> NumberedRows(const std::string& prefix, int n) {
+  std::vector<ShardedRecord> rows;
+  for (int i = 0; i < n; ++i) {
+    rows.push_back({"key" + std::to_string(i), prefix + std::to_string(i)});
+  }
+  return rows;
+}
+
+// One request on a raw connection; returns the response's status code.
+uint64_t RoundTrip(int fd, const std::string& body) {
+  EXPECT_TRUE(WriteFrameToFd(fd, body).ok());
+  auto reply = ReadFrameFromFd(fd);
+  EXPECT_TRUE(reply.ok()) << reply.status();
+  return reply.ok() ? ResponseCode(reply.value()) : ~uint64_t{0};
+}
+
+// A raw connection that has said Hello.
+int HelloConnection(int port, const std::string& name) {
+  const int fd = ConnectTo(port);
+  EXPECT_EQ(RoundTrip(fd, HelloBody(name)), 0u);
+  return fd;
+}
+
+// Every payload of every bucket of `category`, bucket by bucket in
+// sequence order.
+std::vector<std::vector<std::string>> PayloadsByBucket(
+    Scribe* scribe, const std::string& category) {
+  std::vector<std::vector<std::string>> out(
+      static_cast<size_t>(scribe->NumBuckets(category)));
+  for (size_t b = 0; b < out.size(); ++b) {
+    auto messages = scribe->Read(category, static_cast<int>(b), 0, 100'000);
+    EXPECT_TRUE(messages.ok());
+    if (!messages.ok()) continue;
+    for (const Message& m : *messages) out[b].push_back(m.payload);
+  }
+  return out;
 }
 
 // A scripted fake broker for client-side classification tests: accepts one
@@ -310,6 +366,34 @@ TEST_F(RemoteScribeTest, FullApiParity) {
 
   remote_->TrimExpired();  // Smoke: must not throw or wedge the connection.
   EXPECT_TRUE(remote_->Ping().ok());
+
+  // A batched append routes every row exactly as an in-process bus does:
+  // same bucket, same sequence, same order.
+  Scribe mirror(&clock_);
+  CategoryConfig batched;
+  batched.name = "batched";
+  batched.num_buckets = 4;
+  ASSERT_TRUE(remote_->CreateCategory(batched).ok());
+  ASSERT_TRUE(mirror.CreateCategory(batched).ok());
+  const std::vector<ShardedRecord> rows = NumberedRows("b", 40);
+  ASSERT_TRUE(remote_->WriteShardedBatch("batched", rows).ok());
+  ASSERT_TRUE(mirror.WriteShardedBatch("batched", rows).ok());
+  EXPECT_TRUE(remote_->WriteShardedBatch("batched", {}).ok());
+  EXPECT_EQ(remote_->WriteShardedBatch("nope", rows).code(),
+            StatusCode::kNotFound);
+  for (int b = 0; b < 4; ++b) {
+    auto via_remote = remote_->Read("batched", b, 0, 100);
+    auto in_process = mirror.Read("batched", b, 0, 100);
+    ASSERT_TRUE(via_remote.ok());
+    ASSERT_TRUE(in_process.ok());
+    ASSERT_EQ(via_remote->size(), in_process->size()) << "bucket " << b;
+    for (size_t i = 0; i < via_remote->size(); ++i) {
+      EXPECT_EQ((*via_remote)[i].payload, (*in_process)[i].payload);
+      EXPECT_EQ((*via_remote)[i].sequence, (*in_process)[i].sequence);
+    }
+  }
+  EXPECT_EQ(PayloadsByBucket(local_.get(), "batched"),
+            PayloadsByBucket(&mirror, "batched"));
 }
 
 TEST_F(RemoteScribeTest, TailerWorksOverRemote) {
@@ -465,6 +549,159 @@ TEST(RemoteScribeDedupTest, ConcurrentDuplicateAppendsLandOnce) {
   ASSERT_TRUE(messages.ok());
   EXPECT_EQ(messages->size(), static_cast<size_t>(kRounds))
       << "a concurrent duplicate re-appended";
+}
+
+TEST_F(RemoteScribeTest, BatchFrameSentTwiceLandsOnce) {
+  CategoryConfig config;
+  config.name = "bdedup";
+  config.num_buckets = 3;
+  ASSERT_TRUE(remote_->CreateCategory(config).ok());
+  Counter* dedup_hits = MetricsRegistry::Global()->GetCounter(
+      "scribe.remote.server.dedup_hits");
+
+  const int fd = HelloConnection(server_->port(), "raw.batch");
+  // The same batch (guid, tokens 10..14) delivered twice — a retry whose
+  // ack was lost. Both acks are OK; each row lands once.
+  const std::string body =
+      BatchBody("bdedup", /*guid=*/77, /*first_token=*/10,
+                NumberedRows("r", 5));
+  EXPECT_EQ(RoundTrip(fd, body), 0u);
+  const uint64_t hits_before = dedup_hits->value();
+  EXPECT_EQ(RoundTrip(fd, body), 0u);
+  EXPECT_EQ(dedup_hits->value() - hits_before, 5u);
+  // The next token range from the same guid still lands.
+  EXPECT_EQ(RoundTrip(fd, BatchBody("bdedup", 77, 15, NumberedRows("s", 2))),
+            0u);
+  ::close(fd);
+
+  Scribe mirror(&clock_);
+  ASSERT_TRUE(mirror.CreateCategory(config).ok());
+  ASSERT_TRUE(mirror.WriteShardedBatch("bdedup", NumberedRows("r", 5)).ok());
+  ASSERT_TRUE(mirror.WriteShardedBatch("bdedup", NumberedRows("s", 2)).ok());
+  EXPECT_EQ(PayloadsByBucket(local_.get(), "bdedup"),
+            PayloadsByBucket(&mirror, "bdedup"));
+}
+
+TEST_F(RemoteScribeTest, PartlyAppliedBatchRetryLandsEachRowOnce) {
+  CategoryConfig config;
+  config.name = "partial";
+  config.num_buckets = 3;
+  ASSERT_TRUE(remote_->CreateCategory(config).ok());
+  const std::vector<ShardedRecord> rows = NumberedRows("p", 12);
+  constexpr uint64_t kFailRow = 7;
+
+  // Row 7's append fails past the broker's three append attempts: rows
+  // 0..6 land, the RPC reports the failure, rows 8.. are not attempted.
+  const int fd = HelloConnection(server_->port(), "raw.partial");
+  const std::string body = BatchBody("partial", /*guid=*/91, 1, rows);
+  FaultRegistry::Global()->FailNext("scribe.append", StatusCode::kUnavailable,
+                                    /*count=*/3, /*skip=*/kFailRow);
+  EXPECT_EQ(RoundTrip(fd, body),
+            static_cast<uint64_t>(StatusCode::kUnavailable));
+  size_t landed = 0;
+  for (const auto& bucket : PayloadsByBucket(local_.get(), "partial")) {
+    landed += bucket.size();
+  }
+  EXPECT_EQ(landed, kFailRow);
+  // The retry skips the applied prefix and lands the rest.
+  EXPECT_EQ(RoundTrip(fd, body), 0u);
+  ::close(fd);
+
+  Scribe mirror(&clock_);
+  ASSERT_TRUE(mirror.CreateCategory(config).ok());
+  ASSERT_TRUE(mirror.WriteShardedBatch("partial", rows).ok());
+  EXPECT_EQ(PayloadsByBucket(local_.get(), "partial"),
+            PayloadsByBucket(&mirror, "partial"));
+
+  // The same through the client: its transport retry resends the batch
+  // after the broker-side failure, and every row still lands once.
+  CategoryConfig again = config;
+  again.name = "partial_client";
+  ASSERT_TRUE(remote_->CreateCategory(again).ok());
+  ASSERT_TRUE(mirror.CreateCategory(again).ok());
+  FaultRegistry::Global()->FailNext("scribe.append", StatusCode::kUnavailable,
+                                    3, kFailRow);
+  EXPECT_TRUE(remote_->WriteShardedBatch("partial_client", rows).ok());
+  EXPECT_GE(remote_->transport_retry_stats().retries, 1u);
+  ASSERT_TRUE(mirror.WriteShardedBatch("partial_client", rows).ok());
+  EXPECT_EQ(PayloadsByBucket(local_.get(), "partial_client"),
+            PayloadsByBucket(&mirror, "partial_client"));
+}
+
+TEST_F(RemoteScribeTest, OversizeBatchSplitsIntoFramesAndLandsWhole) {
+  CategoryConfig config;
+  config.name = "big";
+  config.num_buckets = 2;
+  ASSERT_TRUE(remote_->CreateCategory(config).ok());
+  // Three rows of 0.6 budgets: no two fit one frame, so the batch goes out
+  // as three RPCs with contiguous token ranges.
+  const size_t row_bytes = kBatchFrameBudgetBytes * 6 / 10;
+  std::vector<ShardedRecord> rows;
+  for (int i = 0; i < 3; ++i) {
+    rows.push_back({"k" + std::to_string(i),
+                    std::string(row_bytes, static_cast<char>('a' + i))});
+  }
+  // Plus small rows that pack behind the last big one.
+  for (int i = 0; i < 5; ++i) {
+    rows.push_back({"s" + std::to_string(i), "small" + std::to_string(i)});
+  }
+  Counter* rpcs = MetricsRegistry::Global()->GetCounter("scribe.remote.rpcs");
+  const uint64_t before = rpcs->value();
+  ASSERT_TRUE(remote_->WriteShardedBatch("big", rows).ok());
+  EXPECT_EQ(rpcs->value() - before, 3u);
+
+  Scribe mirror(&clock_);
+  ASSERT_TRUE(mirror.CreateCategory(config).ok());
+  ASSERT_TRUE(mirror.WriteShardedBatch("big", rows).ok());
+  EXPECT_EQ(PayloadsByBucket(local_.get(), "big"),
+            PayloadsByBucket(&mirror, "big"));
+}
+
+TEST(RemoteScribeDedupTest, ConcurrentDuplicateBatchesLandOnce) {
+  // Like ConcurrentDuplicateAppendsLandOnce, for whole batches: two
+  // connections deliver the same (guid, token range) at once, every round,
+  // and each row must land exactly once, in order.
+  SimClock clock(1'000'000);
+  Scribe local(&clock);
+  ScribeServer server(&local);
+  ASSERT_TRUE(server.Start().ok());
+  CategoryConfig config;
+  config.name = "brace";
+  ASSERT_TRUE(local.CreateCategory(config).ok());
+
+  constexpr int kRounds = 30;
+  constexpr int kRows = 4;
+  constexpr uint64_t kGuid = 19;
+  std::atomic<int> at_barrier{0};
+  auto run = [&](const char* name) {
+    const int fd = HelloConnection(server.port(), name);
+    for (int t = 0; t < kRounds; ++t) {
+      at_barrier.fetch_add(1);
+      while (at_barrier.load() < 2 * (t + 1)) std::this_thread::yield();
+      const std::string body =
+          BatchBody("brace", kGuid, 1 + static_cast<uint64_t>(t) * kRows,
+                    NumberedRows("m" + std::to_string(t) + ".", kRows));
+      // Both the original and the duplicate are acked OK.
+      ASSERT_EQ(RoundTrip(fd, body), 0u);
+    }
+    ::close(fd);
+  };
+  std::thread a([&] { run("brace.a"); });
+  std::thread b([&] { run("brace.b"); });
+  a.join();
+  b.join();
+  server.Stop();
+
+  auto messages = local.Read("brace", 0, 0, 1000);
+  ASSERT_TRUE(messages.ok());
+  ASSERT_EQ(messages->size(), static_cast<size_t>(kRounds * kRows))
+      << "a concurrent duplicate batch re-appended";
+  for (int t = 0; t < kRounds; ++t) {
+    for (int i = 0; i < kRows; ++i) {
+      EXPECT_EQ((*messages)[static_cast<size_t>(t * kRows + i)].payload,
+                "m" + std::to_string(t) + "." + std::to_string(i));
+    }
+  }
 }
 
 TEST(RemoteReadChunkTest, ReadResponsesChunkByBytes) {

@@ -42,6 +42,19 @@ TEST_F(ScribeTest, CreateRejectsDuplicatesAndBadConfigs) {
   zero_buckets.name = "zb";
   zero_buckets.num_buckets = 0;
   EXPECT_FALSE(scribe_.CreateCategory(zero_buckets).ok());
+
+  // Buckets are allocated eagerly: a count past the cap is refused, at
+  // creation and on a resize, instead of allocating it.
+  CategoryConfig too_many;
+  too_many.name = "tm";
+  too_many.num_buckets = kMaxBucketsPerCategory + 1;
+  EXPECT_EQ(scribe_.CreateCategory(too_many).code(),
+            StatusCode::kInvalidArgument);
+  too_many.num_buckets = kMaxBucketsPerCategory;
+  ASSERT_TRUE(scribe_.CreateCategory(too_many).ok());
+  EXPECT_EQ(scribe_.SetNumBuckets("tm", kMaxBucketsPerCategory + 1).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(scribe_.NumBuckets("tm"), kMaxBucketsPerCategory);
 }
 
 TEST_F(ScribeTest, WriteReadRoundTrip) {

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/fs.h"
 #include "common/hll.h"
 #include "common/rng.h"
@@ -983,6 +985,126 @@ TEST_F(NodeTest, RunOnceOnDeadShardFails) {
   EXPECT_TRUE((*shard)->RunOnce().ok());
   // Recover on a live shard is a no-op.
   ASSERT_TRUE((*shard)->Recover().ok());
+}
+
+// Passes through the events of even ten-blocks (ids 0-9, 20-29, ...) and
+// drops the rest, so with ten-event checkpoints every other batch has no
+// output.
+class EvenTensProcessor : public StatelessProcessor {
+ public:
+  void Process(const Event& event, std::vector<Row>* out) override {
+    if (event.row.Get("id").CoerceInt64() / 10 % 2 == 0) {
+      out->push_back(event.row);
+    }
+  }
+};
+
+// An in-process bus that counts its batched appends; the rows land through
+// the base class.
+class BatchCountingScribe : public scribe::Scribe {
+ public:
+  using scribe::Scribe::Scribe;
+  Status WriteShardedBatch(
+      const std::string& category,
+      const std::vector<scribe::ShardedRecord>& records) override {
+    ++batch_calls;
+    return scribe::Scribe::WriteShardedBatch(category, records);
+  }
+  int batch_calls = 0;
+};
+
+TEST_F(NodeTest, ScribeSinkAppendsOneBatchPerNonEmptyInterval) {
+  for (const auto& [state, output] :
+       {std::pair{StateSemantics::kAtLeastOnce, OutputSemantics::kAtLeastOnce},
+        std::pair{StateSemantics::kAtMostOnce, OutputSemantics::kAtMostOnce}}) {
+    BatchCountingScribe bus(&clock_);
+    for (const char* name : {"in", "out"}) {
+      scribe::CategoryConfig category;
+      category.name = name;
+      category.num_buckets = 2;
+      ASSERT_TRUE(bus.CreateCategory(category).ok());
+    }
+    TextRowCodec codec(EventSchema());
+    for (int i = 0; i < 40; ++i) {
+      Row row(EventSchema(), {Value(clock_.NowMicros()), Value(i),
+                              Value("t" + std::to_string(i % 3))});
+      ASSERT_TRUE(bus.Write("in", 0, codec.Encode(row)).ok());
+    }
+    NodeConfig config;
+    config.name = std::string("batcher-") + ToString(output);
+    config.input_category = "in";
+    config.input_schema = EventSchema();
+    config.stateless_factory = [] {
+      return std::make_unique<EvenTensProcessor>();
+    };
+    config.state_semantics = state;
+    config.output_semantics = output;
+    config.checkpoint_every_events = 10;
+    config.backend = StateBackend::kNone;
+    config.state_dir = dir_ + "/state";
+    config.sink = std::make_shared<ScribeSink>(
+        &bus, "out", EventSchema(), std::vector<std::string>{"topic"});
+    auto shard = NodeShard::Create(config, &bus, &clock_, 0);
+    ASSERT_TRUE(shard.ok()) << shard.status();
+    size_t batches = 0;
+    for (;;) {
+      auto n = (*shard)->RunOnce();
+      ASSERT_TRUE(n.ok()) << n.status();
+      if (*n == 0) break;
+      ++batches;
+    }
+    EXPECT_EQ(batches, 4u);
+    // Two of the four intervals have output: one append call each.
+    EXPECT_EQ(bus.batch_calls, 2) << ToString(output);
+    std::vector<int64_t> ids;
+    for (int b = 0; b < 2; ++b) {
+      auto messages = bus.Read("out", b, 0, 100);
+      ASSERT_TRUE(messages.ok());
+      for (const scribe::Message& m : *messages) {
+        auto row = codec.Decode(m.payload);
+        ASSERT_TRUE(row.ok());
+        ids.push_back(row->Get("id").CoerceInt64());
+      }
+    }
+    std::sort(ids.begin(), ids.end());
+    std::vector<int64_t> want;
+    for (int64_t i = 0; i < 40; ++i) {
+      if (i / 10 % 2 == 0) want.push_back(i);
+    }
+    EXPECT_EQ(ids, want) << ToString(output);
+  }
+}
+
+TEST_F(NodeTest, EmitOnlySinkSeesEveryRowOnceInOrder) {
+  // CollectingSink overrides only Emit: the default EmitBatch must hand it
+  // every row of every batch, once, in processing order.
+  WriteEvents(0, 35);
+  for (const auto& [state, output] :
+       {std::pair{StateSemantics::kAtLeastOnce, OutputSemantics::kAtLeastOnce},
+        std::pair{StateSemantics::kAtMostOnce, OutputSemantics::kAtMostOnce}}) {
+    sink_->Clear();
+    NodeConfig config;
+    config.name = std::string("emit-only-") + ToString(output);
+    config.input_category = "in";
+    config.input_schema = EventSchema();
+    config.stateless_factory = [] {
+      return std::make_unique<PassthroughProcessor>();
+    };
+    config.state_semantics = state;
+    config.output_semantics = output;
+    config.checkpoint_every_events = 10;
+    config.backend = StateBackend::kNone;
+    config.state_dir = dir_ + "/state";
+    config.sink = sink_;
+    auto shard = NodeShard::Create(config, scribe_.get(), &clock_, 0);
+    ASSERT_TRUE(shard.ok()) << shard.status();
+    RunToCompletion(shard->get());
+    const std::vector<Row> rows = sink_->rows();
+    ASSERT_EQ(rows.size(), 35u) << ToString(output);
+    for (int64_t i = 0; i < 35; ++i) {
+      EXPECT_EQ(rows[static_cast<size_t>(i)].Get("id").CoerceInt64(), i);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
