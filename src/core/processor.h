@@ -22,8 +22,10 @@ class StatelessProcessor {
  public:
   virtual ~StatelessProcessor() = default;
 
-  // Emits zero or more output rows for the event. Must be side-effect-free
-  // with respect to engine-visible state (rerunnable; §4.3.1 activity 1).
+  // Emits zero or more output rows for the event by appending them to
+  // `out`, which holds the batch's earlier output: never clear it. Must be
+  // side-effect-free with respect to engine-visible state (rerunnable;
+  // §4.3.1 activity 1).
   virtual void Process(const Event& event, std::vector<Row>* out) = 0;
 };
 
@@ -34,7 +36,8 @@ class StatefulProcessor {
  public:
   virtual ~StatefulProcessor() = default;
 
-  // Processes one event; may update in-memory state and emit output rows.
+  // Processes one event; may update in-memory state and append output rows
+  // to `out` (which holds the batch's earlier output: never clear it).
   virtual void Process(const Event& event, std::vector<Row>* out) = 0;
 
   // Called at each checkpoint boundary before state is saved; the processor
